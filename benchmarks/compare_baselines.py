@@ -85,6 +85,13 @@ MANIFEST = {
         # Analytic speedup grid — deterministic.
         ("speedup_grid/p=0.9,k=8", "higher"),
     ],
+    "persisted_push": [
+        # Push CPU at history 100 over history 10: two medians of one
+        # run, so runner speed divides out. Flat means O(delta) saves.
+        ("history_ratio", "lower"),
+        # Journal bytes one push appends: the delta, not the history.
+        ("journal_bytes_per_push", "lower"),
+    ],
 }
 
 

@@ -47,6 +47,10 @@ class CommitGraph:
     def __len__(self) -> int:
         return len(self._commits)
 
+    def commits(self) -> list[PipelineCommit]:
+        """Every commit in the order added (parents before children)."""
+        return list(self._commits.values())
+
     def all_commits(self) -> list[PipelineCommit]:
         return sorted(self._commits.values(), key=lambda c: c.sequence)
 

@@ -150,6 +150,9 @@ class MLCask:
         self._specs: dict[str, PipelineSpec] = {}
         self._sequence = 0
         self._remotes: dict[str, object] = {}
+        # What this repository last committed to a directory (see
+        # repro.core.persistence): lets the next save append, not rewrite.
+        self._persisted = None
 
     # ------------------------------------------------------------ plumbing
     def spec(self, pipeline: str) -> PipelineSpec:

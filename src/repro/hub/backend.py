@@ -194,6 +194,12 @@ class TenantChunkStore(ChunkStore):
     persisted repository already holds; refcounts are *not* touched for
     adopted holdings — they were registered when the hub scanned the
     repo's manifest (or never dropped, for an evict/reload cycle).
+
+    A dropped chunk (a gc sweep) leaves the view at once but keeps its
+    backend reference until :meth:`release_dropped`: the hub calls that
+    only after the holdings without the chunk are committed, so a crash
+    in between never leaves committed holdings naming bytes that are
+    gone.
     """
 
     def __init__(
@@ -205,6 +211,7 @@ class TenantChunkStore(ChunkStore):
         self.backend = backend
         self._held: dict[str, int] = dict(holdings or {})
         self._held_bytes = sum(self._held.values())
+        self._dropped: list[str] = []
         # The view's stats speak tenant-logical language: "physical" here
         # is what this repository holds, regardless of how many other
         # tenants share the bytes underneath.
@@ -231,7 +238,13 @@ class TenantChunkStore(ChunkStore):
     def _delete(self, digest: str) -> None:
         size = self._held.pop(digest)
         self._held_bytes -= size
-        self.backend.release(digest)
+        self._dropped.append(digest)
+
+    def release_dropped(self) -> int:
+        """Release the backend references of dropped chunks; returns the
+        physical bytes reclaimed."""
+        dropped, self._dropped = self._dropped, []
+        return self.backend.release_holdings(dropped)
 
     def _size(self, digest: str) -> int:
         return self._held[digest]

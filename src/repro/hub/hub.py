@@ -25,19 +25,20 @@ Persistence layout (``root`` directory)::
     <root>/hub.json                      tenant registry (tokens, quotas)
     <root>/chunks/ab/cdef...             the shared chunk backend (bytes,
                                          stored once deployment-wide)
-    <root>/tenants/<t>/<r>/state.json    per-repo version-control state
-    <root>/tenants/<t>/<r>/recipes.json  blob digest -> chunk digests
-    <root>/tenants/<t>/<r>/checkpoints.json
-    <root>/tenants/<t>/<r>/lineage.json  provenance ledger (append-only)
-    <root>/tenants/<t>/<r>/chunks.json   holdings manifest: [digest, size]
-                                         pairs — the repo's membership in
+    <root>/tenants/<t>/<r>/state.json    per-repo root manifest
+    <root>/tenants/<t>/<r>/*.<g>.jsonl   append-only journals: commits,
+                                         recipes, checkpoint records,
+                                         lineage, and holdings — the
+                                         repo's [digest, size] claims on
                                          the shared backend
 
-A repository directory holds *no* chunk bytes of its own: the holdings
-manifest is the per-repo claim on the shared backend, and backend
-refcounts are rebuilt from these manifests at startup. With
-``root=None`` the hub is fully in-memory (tests, examples): eviction is
-disabled and nothing persists.
+A repository directory is the journaled format of
+:mod:`repro.core.persistence` without an ``objects/`` directory: it holds
+*no* chunk bytes of its own. The holdings journal is the per-repo claim
+on the shared backend, and backend refcounts are rebuilt from it at
+startup. A push appends only what it added; an eviction of a repo that
+did not change writes nothing. With ``root=None`` the hub is fully
+in-memory (tests, examples): eviction is disabled and nothing persists.
 """
 
 from __future__ import annotations
@@ -49,18 +50,14 @@ import time
 from collections import OrderedDict
 
 from ..core.persistence import (
-    CHECKPOINTS_FILE,
-    LINEAGE_FILE,
-    RECIPES_FILE,
-    STATE_FILE,
-    load_repository,
-    recipe_from_dict,
-    recipe_to_dict,
-    record_from_dict,
-    record_to_dict,
-    repository_state,
+    is_repository_dir,
+    read_holdings,
+    read_repository_journal,
     write_json_atomic,
+    write_repository_journal,
 )
+# perfbench's traced run wraps these by name in this module.
+from ..core.persistence import load_repository, repository_state  # noqa: F401
 from ..core.repository import MLCask
 from ..errors import (
     AuthenticationError,
@@ -112,7 +109,6 @@ def _denial_reason(error: Exception) -> str:
 
 CHUNKS_DIR = "chunks"
 TENANTS_DIR = "tenants"
-HOLDINGS_FILE = "chunks.json"
 HUB_FORMAT_VERSION = 1
 
 #: Default bound on simultaneously loaded repositories. Sized for "many
@@ -372,7 +368,7 @@ class RepositoryHub:
         return os.path.join(self.root, TENANTS_DIR, tenant, name)
 
     def _scan_persisted(self) -> None:
-        """Rebuild backend refcounts and usage from on-disk manifests."""
+        """Rebuild backend refcounts and usage from on-disk holdings."""
         tenants_root = os.path.join(self.root, TENANTS_DIR)
         if not os.path.isdir(tenants_root):
             return
@@ -382,9 +378,9 @@ class RepositoryHub:
                 continue
             for name in sorted(os.listdir(tenant_dir)):
                 repo_dir = os.path.join(tenant_dir, name)
-                if not os.path.isfile(os.path.join(repo_dir, STATE_FILE)):
+                if not is_repository_dir(repo_dir):
                     continue
-                holdings = self._read_holdings(repo_dir)
+                holdings = read_holdings(repo_dir)
                 self.backend.register_holdings(holdings)
                 self._record_persisted_locked(
                     (tenant, name), sum(holdings.values())
@@ -402,49 +398,17 @@ class RepositoryHub:
         if size is not None:
             self._persisted_by_tenant[key[0]] -= size
 
-    @staticmethod
-    def _read_holdings(repo_dir: str) -> dict[str, int]:
-        path = os.path.join(repo_dir, HOLDINGS_FILE)
-        if not os.path.isfile(path):
-            return {}
-        with open(path) as fh:
-            return {
-                digest: size for digest, size in json.load(fh)["chunks"]
-            }
-
     def _persist_hosted(self, hosted: HostedRepository) -> None:
-        """Write a repo's metadata + holdings manifest (bytes already
-        live in the shared backend, written at request time)."""
-        if self.root is None:
-            return
-        repo = hosted.server.repo
-        repo_dir = self._repo_dir(hosted.tenant, hosted.name)
-        os.makedirs(repo_dir, exist_ok=True)
-        write_json_atomic(
-            os.path.join(repo_dir, STATE_FILE),
-            repository_state(repo),
-            sort_keys=True,
-        )
-        write_json_atomic(
-            os.path.join(repo_dir, RECIPES_FILE),
-            {"recipes": [recipe_to_dict(r) for r in repo.objects.recipes()]},
-            sort_keys=True,
-        )
-        write_json_atomic(
-            os.path.join(repo_dir, CHECKPOINTS_FILE),
-            {"records": [record_to_dict(r) for r in repo.checkpoints.records()]},
-            sort_keys=True,
-        )
-        write_json_atomic(
-            os.path.join(repo_dir, LINEAGE_FILE),
-            repo.lineage.to_payload(),
-            sort_keys=True,
-        )
-        write_json_atomic(
-            os.path.join(repo_dir, HOLDINGS_FILE),
-            {"chunks": sorted(hosted.view.holdings().items())},
-            sort_keys=True,
-        )
+        """Commit a repo's metadata and holdings to its directory (the
+        bytes already live in the shared backend, written at request
+        time); appends only what changed since its last commit."""
+        if self.root is not None:
+            write_repository_journal(
+                hosted.server.repo,
+                self._repo_dir(hosted.tenant, hosted.name),
+                hosted.view,
+            )
+        hosted.view.release_dropped()  # only once no commit names them
 
     # ------------------------------------------------------- repo lookup
     def _new_hosted(
@@ -478,30 +442,15 @@ class RepositoryHub:
         return hosted
 
     def _load_repo(self, tenant: str, name: str) -> HostedRepository:
-        repo_dir = self._repo_dir(tenant, name)
-        state_path = os.path.join(repo_dir, STATE_FILE)
-        with open(state_path) as fh:
-            state = json.load(fh)
-        holdings = self._read_holdings(repo_dir)
+        snapshot = read_repository_journal(self._repo_dir(tenant, name))
         hosted = self._new_hosted(
-            tenant, name, state["metric"], state["seed"], holdings
+            tenant,
+            name,
+            snapshot.manifest["metric"],
+            snapshot.manifest["seed"],
+            snapshot.holdings,
         )
-        repo = hosted.server.repo
-        load_repository(state_path, repo=repo)
-        recipes_path = os.path.join(repo_dir, RECIPES_FILE)
-        if os.path.isfile(recipes_path):
-            with open(recipes_path) as fh:
-                for entry in json.load(fh)["recipes"]:
-                    repo.objects.add_recipe(recipe_from_dict(entry))
-        checkpoints_path = os.path.join(repo_dir, CHECKPOINTS_FILE)
-        if os.path.isfile(checkpoints_path):
-            with open(checkpoints_path) as fh:
-                for entry in json.load(fh)["records"]:
-                    repo.checkpoints.import_record(record_from_dict(entry))
-        lineage_path = os.path.join(repo_dir, LINEAGE_FILE)
-        if os.path.isfile(lineage_path):  # absent in pre-ledger directories
-            with open(lineage_path) as fh:
-                repo.lineage.load_payload(json.load(fh))
+        snapshot.restore(hosted.server.repo, hosted.view)
         self.loads += 1
         self._m_loads.inc()
         return hosted

@@ -82,7 +82,7 @@ class LineageRecord:
 
 
 def lineage_record_to_dict(record: LineageRecord) -> dict:
-    """Dict codec shared by the on-disk ``lineage.json`` and the wire
+    """Dict codec shared by the on-disk lineage journal and the wire
     (schema-additive ``lineage`` pack key); see ``record_to_dict`` in
     :mod:`repro.core.persistence` for the pattern."""
     return {

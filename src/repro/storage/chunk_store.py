@@ -44,13 +44,20 @@ class ChunkStore(ABC):
 
     @abstractmethod
     def digests(self) -> list[str]:
-        """All digests currently held (for audits and garbage accounting)."""
+        """All digests currently held (for audits, garbage accounting and
+        the holdings journal). In-memory stores list them in arrival
+        order, which is what lets a repository save append only the new
+        ones."""
 
     def _size(self, digest: str) -> int:
         """Size of a held chunk. Backends override when they can answer
         without materializing the content (a GC sweep of gigabytes of
         dead chunks must not read them just to count them)."""
         return len(self._read(digest))
+
+    def size_of(self, digest: str) -> int | None:
+        """Size of a held chunk, or None when it is not held."""
+        return self._size(digest) if self._contains(digest) else None
 
     def put(self, data: bytes) -> str:
         """Store ``data``; return its digest. Duplicate content is free."""

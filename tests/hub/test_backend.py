@@ -73,6 +73,7 @@ class TestRefcountLifecycle:
         digest = a.put(payload)
         b.put(payload)
         assert a.discard(digest) == len(payload)
+        a.release_dropped()
         # b still reads it; bytes not physically reclaimed
         assert backend.physical_bytes == len(payload)
         assert b.get(digest) == payload
@@ -85,6 +86,9 @@ class TestRefcountLifecycle:
         b.put(payload)
         a.discard(digest)
         b.discard(digest)
+        assert backend.refcount(digest) == 2  # held until the release
+        assert a.release_dropped() == 0
+        assert b.release_dropped() == len(payload)
         assert backend.physical_bytes == 0
         assert backend.refcount(digest) == 0
 

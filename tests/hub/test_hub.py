@@ -1,9 +1,15 @@
 """RepositoryHub: routing, admission, dedup accounting, LRU lifecycle."""
 
-import json
-
 import pytest
 
+from repro.core.persistence import (
+    JOURNALS,
+    STATE_FILE,
+    is_repository_dir,
+    journal_file,
+    read_holdings,
+    read_repository_journal,
+)
 from repro.errors import (
     AuthenticationError,
     AuthorizationError,
@@ -283,8 +289,8 @@ class TestLifecycle:
         assert hub.evictions >= 1
         assert hub.loaded_repos() == [("ben", "proj")]
         repo_dir = tmp_path / "hub" / "tenants" / "ana" / "proj"
-        assert (repo_dir / "state.json").is_file()
-        assert (repo_dir / "chunks.json").is_file()
+        assert is_repository_dir(repo_dir)
+        assert read_holdings(repo_dir)
         # usage survives eviction
         assert hub.tenant_usage("ana") == hub.tenant_usage("ben") > 0
         # reloading serves the same history (and evicts ben's in turn)
@@ -300,12 +306,10 @@ class TestLifecycle:
         hub._persist_hosted(hub._loaded[("ana", "proj")])
         repo_dir = tmp_path / "hub" / "tenants" / "ana" / "proj"
         names = {p.name for p in repo_dir.iterdir()}
-        assert names == {
-            "state.json", "recipes.json", "checkpoints.json", "chunks.json",
-            "lineage.json",
+        assert names == {STATE_FILE} | {
+            journal_file(name, 1) for name in JOURNALS
         }
-        with open(repo_dir / "chunks.json") as fh:
-            holdings = json.load(fh)["chunks"]
+        holdings = read_repository_journal(repo_dir).entries["holdings"]
         assert holdings and all(
             isinstance(d, str) and isinstance(s, int) for d, s in holdings
         )

@@ -7,7 +7,7 @@ import pytest
 
 from repro import MLCask
 from repro.cli import main
-from repro.core.persistence import LINEAGE_FILE, gc_repository_dir
+from repro.core.persistence import gc_repository_dir, read_repository_journal
 from repro.hub import RepositoryHub
 from repro.obs.trace import Tracer
 from repro.provenance import EXECUTED, LineageRecord
@@ -49,7 +49,8 @@ class TestDirPersistence:
         repo = fresh_toy_repo()
         repo.commit("toy", {"model": toy_model(1, 0.6)})
         repo.save_dir(tmp_path / "A")
-        assert (tmp_path / "A" / LINEAGE_FILE).is_file()
+        on_disk = read_repository_journal(tmp_path / "A").entries["lineage"]
+        assert len(on_disk) == len(repo.lineage)
         loaded = MLCask.load_dir(tmp_path / "A", registry=repo.registry)
         assert loaded.lineage.records() == repo.lineage.records()
         # commit back-fill survives the trip
@@ -60,9 +61,7 @@ class TestDirPersistence:
         repo.lineage.append(unbound_record())  # orphan: no commit refs it
         repo.save_dir(tmp_path / "A")
         gc_repository_dir(tmp_path / "A")
-        with open(tmp_path / "A" / LINEAGE_FILE) as fh:
-            payload = json.load(fh)
-        entries = payload["records"]
+        entries = read_repository_journal(tmp_path / "A").entries["lineage"]
         assert len(entries) == len(repo.lineage)  # append-only on disk too
         by_ref = {e["output_ref"]: e for e in entries}
         assert by_ref["feedbeef"]["collected"] is True
@@ -156,10 +155,8 @@ class TestHubHosting:
         hub = RepositoryHub(root=tmp_path / "hub")
         hub.add_tenant("ana", tokens=["tok-ana"])
         local = self._push(hub, workload)
-        ledger_path = (
-            tmp_path / "hub" / "tenants" / "ana" / "proj" / LINEAGE_FILE
-        )
-        assert ledger_path.is_file()
+        repo_dir = tmp_path / "hub" / "tenants" / "ana" / "proj"
+        assert read_repository_journal(repo_dir).entries["lineage"]
         # a fresh hub over the same root serves the same ledger
         reborn = RepositoryHub(root=tmp_path / "hub")
         remote = Remote(

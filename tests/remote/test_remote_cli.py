@@ -7,6 +7,7 @@ import threading
 
 from repro import MLCask
 from repro.cli import main
+from repro.core.persistence import read_repository_journal
 from repro.workloads import ALL_WORKLOADS
 
 
@@ -41,7 +42,7 @@ class TestInit:
         assert "master.0.2" in text
         assert (tmp_path / "A" / "state.json").is_file()
         assert (tmp_path / "A" / "objects").is_dir()
-        assert (tmp_path / "A" / "recipes.json").is_file()
+        assert read_repository_journal(tmp_path / "A").entries["recipes"]
 
 
 class TestCloneCommand:

@@ -1,14 +1,13 @@
 """GC beyond MemoryChunkStore: file-backed sweeps and `repro gc`."""
 
 import io
-import json
 import os
 
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.persistence import gc_repository_dir
+from repro.core.persistence import gc_repository_dir, read_repository_journal
 from repro.storage import FileChunkStore, ObjectStore, collect_garbage
 
 from helpers import build_workload_repo
@@ -88,8 +87,9 @@ class TestRepositoryDirGC:
         report, _pruned = gc_repository_dir(repo_dir)
         assert report.swept_chunks > 0
 
-        with open(repo_dir / "recipes.json") as fh:
-            recipes = {e["blob"] for e in json.load(fh)["recipes"]}
+        recipes = {
+            e["blob"] for e in read_repository_journal(repo_dir).entries["recipes"]
+        }
         assert dead not in recipes
 
         # reloaded repository still serves every commit-referenced output
@@ -100,16 +100,14 @@ class TestRepositoryDirGC:
 
     def test_checkpoint_records_pruned_unless_kept(self, tmp_path, workload):
         repo, repo_dir, _ = self.make_repo_dir(tmp_path, workload)
-        with open(repo_dir / "checkpoints.json") as fh:
-            n_records = len(json.load(fh)["records"])
+        n_records = len(read_repository_journal(repo_dir).entries["records"])
         assert n_records > 0
 
         # default: records whose outputs stay live survive; keep mode too
         _, pruned_kept = gc_repository_dir(repo_dir, keep_checkpoints=True)
         assert pruned_kept == 0
         _, pruned = gc_repository_dir(repo_dir)
-        with open(repo_dir / "checkpoints.json") as fh:
-            remaining = len(json.load(fh)["records"])
+        remaining = len(read_repository_journal(repo_dir).entries["records"])
         assert remaining == n_records - pruned
 
     def test_second_run_sweeps_nothing(self, tmp_path, workload):
