@@ -19,14 +19,6 @@ OB005  broken trace continuity: a wire-handler function (remote server,
        root a disjoint trace — or a span attribute written via
        ``.set(...)`` after the span's ``with`` block closed, mutating an
        already-exported span dict.
-OB006  an op in the protocol ``OPS`` table invisible to the health
-       model: no default latency objective in ``DEFAULT_OP_OBJECTIVES``
-       (or an objective for an op that left the table), or the per-op
-       request-latency histogram children are not resolved by iterating
-       ``OPS`` — either way a new RPC could ship with no SLO and no
-       sliding-window percentiles, so it could never trip readiness or
-       load shedding. Silent when the analyzed tree has no protocol
-       module (same discovery rule as the PT pack).
 """
 
 from __future__ import annotations
@@ -382,177 +374,6 @@ def _check_late_attr_writes(program: Program) -> list[Finding]:
     return findings
 
 
-def _module_assign(file: SourceFile, name: str) -> ast.Assign | None:
-    for node in file.tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return node
-    return None
-
-
-def _find_protocol_ops(program: Program) -> tuple[dict[str, int], SourceFile] | None:
-    """The op table, discovered structurally like the PT pack: the
-    protocol module is whichever file assigns both OPS and WRITE_OPS."""
-    for file in program.files:
-        ops_node = _module_assign(file, "OPS")
-        if ops_node is None or _module_assign(file, "WRITE_OPS") is None:
-            continue
-        if not isinstance(ops_node.value, (ast.Tuple, ast.List)):
-            continue
-        ops: dict[str, int] = {}
-        for elt in ops_node.value.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                ops[elt.value] = elt.lineno
-        return ops, file
-    return None
-
-
-def _check_slo_coverage(program: Program) -> list[Finding]:
-    """OB006a: DEFAULT_OP_OBJECTIVES must key every protocol op (and
-    nothing else) — an op without a default objective has no latency
-    promise for the health model to enforce."""
-    found = _find_protocol_ops(program)
-    if found is None:
-        return []
-    ops, _ = found
-    findings: list[Finding] = []
-    for file in program.files:
-        node = _module_assign(file, "DEFAULT_OP_OBJECTIVES")
-        if node is None or not isinstance(node.value, ast.Dict):
-            continue
-        keyed: dict[str, int] = {}
-        for key in node.value.keys:
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                keyed[key.value] = key.lineno
-        for op in sorted(set(ops) - set(keyed)):
-            findings.append(
-                Finding(
-                    rule="OB006",
-                    path=file.rel_path,
-                    line=node.lineno,
-                    symbol=enclosing_symbol(file.tree, node.lineno),
-                    message=(
-                        f"op {op!r} is in the protocol OPS table but has "
-                        "no default latency objective — the health model "
-                        "cannot judge or shed what it has no promise for"
-                    ),
-                    hint="add the op to DEFAULT_OP_OBJECTIVES (obs/slo.py)",
-                )
-            )
-        for op in sorted(set(keyed) - set(ops)):
-            findings.append(
-                Finding(
-                    rule="OB006",
-                    path=file.rel_path,
-                    line=keyed[op],
-                    symbol=enclosing_symbol(file.tree, keyed[op]),
-                    message=(
-                        f"default objective for op {op!r} which is not in "
-                        "the protocol OPS table (renamed or removed op?)"
-                    ),
-                    hint="keep DEFAULT_OP_OBJECTIVES keys aligned with OPS",
-                )
-            )
-    return findings
-
-
-def _ops_covering_names(file: SourceFile) -> set[str]:
-    """Names whose value enumerates (at least) every protocol op:
-    ``OPS`` itself plus any ``x = (*OPS, ...)``-shaped alias."""
-    names = {"OPS"}
-    grew = True
-    while grew:
-        grew = False
-        for node in ast.walk(file.tree):
-            if not (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id not in names
-                and isinstance(node.value, (ast.Tuple, ast.List))
-            ):
-                continue
-            for elt in node.value.elts:
-                if (
-                    isinstance(elt, ast.Starred)
-                    and isinstance(elt.value, ast.Name)
-                    and elt.value.id in names
-                ):
-                    names.add(node.targets[0].id)
-                    grew = True
-    return names
-
-
-def _check_histogram_coverage(program: Program) -> list[Finding]:
-    """OB006b: a request-latency histogram with an ``op`` label must
-    resolve per-op children by iterating the OPS table — an explicit
-    subset would leave new ops without sliding-window percentiles."""
-    if _find_protocol_ops(program) is None:
-        return []
-    findings: list[Finding] = []
-    for file in program.files:
-        latency_vars: dict[str, int] = {}
-        for node in ast.walk(file.tree):
-            if not (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Attribute)
-                and node.value.func.attr == "histogram"
-                and node.value.args
-                and isinstance(node.value.args[0], ast.Constant)
-                and isinstance(node.value.args[0].value, str)
-            ):
-                continue
-            name = node.value.args[0].value
-            labels = _label_names(node.value) or ()
-            if name.endswith("_seconds") and "op" in labels:
-                latency_vars[node.targets[0].id] = node.lineno
-        if not latency_vars:
-            continue
-        covering = _ops_covering_names(file)
-        for var, line in latency_vars.items():
-            covered = False
-            for node in ast.walk(file.tree):
-                if not (
-                    isinstance(node, ast.DictComp)
-                    and isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Attribute)
-                    and node.value.func.attr == "labels"
-                    and isinstance(node.value.func.value, ast.Name)
-                    and node.value.func.value.id == var
-                ):
-                    continue
-                for generator in node.generators:
-                    if (
-                        isinstance(generator.iter, ast.Name)
-                        and generator.iter.id in covering
-                    ):
-                        covered = True
-            if not covered:
-                findings.append(
-                    Finding(
-                        rule="OB006",
-                        path=file.rel_path,
-                        line=line,
-                        symbol=enclosing_symbol(file.tree, line),
-                        message=(
-                            "per-op latency histogram children are not "
-                            "resolved by iterating the protocol OPS table — "
-                            "a new op would serve without percentiles"
-                        ),
-                        hint=(
-                            "build the child map with a comprehension over "
-                            "OPS (or an `(*OPS, ...)` alias), as "
-                            "remote/server.py does for repro_request_seconds"
-                        ),
-                    )
-                )
-    return findings
-
-
 def check(program: Program) -> list[Finding]:
     return (
         _check_names(program)
@@ -561,8 +382,6 @@ def check(program: Program) -> list[Finding]:
         + _check_lineage_fields(program)
         + _check_handler_adoption(program)
         + _check_late_attr_writes(program)
-        + _check_slo_coverage(program)
-        + _check_histogram_coverage(program)
     )
 
 

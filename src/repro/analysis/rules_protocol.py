@@ -1,41 +1,32 @@
-"""Protocol/schema drift rules (PT*).
+"""Protocol drift rules (PT*).
 
-The op table in ``remote/protocol.py`` is the single authority for the
-wire protocol; these rules cross-reference every other party against it
-so an op added (or renamed) on one side without the matching server
-handler, request validation, read/write classification, or typed-error
-registration fails the lint instead of failing a peer at runtime.
+The op table in ``remote/protocol.py`` (``OPS``, a dict literal of
+``OpSpec(...)`` entries) is the single authority for the wire protocol.
+Everything the server, hub and telemetry know about an op is read from
+it at runtime, so most drift cannot happen; these rules cover what the
+table cannot enforce by itself.
 
-PT001  op listed in ``OPS`` with no ``_op_<name>`` handler method.
-PT002  ``_op_<name>`` handler for an op not listed in ``OPS``.
-PT003  handler reads request ``meta`` but ``validate_request`` has no
-       arm for its op (unvalidated input reaches the handler).
-PT004  op classification set (``WRITE_OPS``, ``CACHEABLE_OPS``,
-       ``PREFLIGHT_OPS``, ...) names an op outside ``OPS``.
 PT005  client call site sends an op not listed in ``OPS``.
-PT006  handler for a non-``WRITE_OPS`` op calls a mutating repository
-       operation (would run under the shared lock side).
+PT006  handler for an op without ``mutates=True`` calls a mutating
+       repository operation (would run under the shared lock side).
 PT007  error class used in hub admission denials that is neither in
        ``TYPED_ERRORS`` nor special-cased by ``raise_remote_error``
        (the denial would reach clients untyped).
 PT008  protocol module does not pin an integer ``PROTOCOL_VERSION``.
 
 Discovery is structural, not path-based: the *protocol module* is
-whichever analyzed module assigns both ``OPS`` and ``WRITE_OPS``; a
-*handler class* is any class with ``_op_*`` methods. Absent a protocol
-module, the pack is silent (the tree under analysis has no protocol).
+whichever analyzed module assigns ``OPS`` a dict literal with string
+keys; a *handler class* is any class with ``_op_*`` methods. Absent a
+protocol module, the pack is silent (the tree under analysis has no
+protocol).
 """
 
 from __future__ import annotations
 
 import ast
-import re
 
 from .callgraph import Program
 from .model import Finding, SourceFile, enclosing_symbol
-
-#: Module-level names that classify ops and must stay within OPS.
-_OP_SET_RE = re.compile(r"^[A-Z][A-Z_]*OPS$")
 
 #: Repository mutations a read-side handler must never perform.
 _MUTATING_ATTRS = frozenset(
@@ -54,61 +45,55 @@ _MUTATING_ATTRS = frozenset(
 _HANDLER_PREFIX = "_op_"
 
 
-def _str_elements(node: ast.expr) -> list[tuple[str, int]] | None:
-    """String constants of a tuple/list/set/frozenset(...) literal."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        if node.func.id in ("frozenset", "set", "tuple") and node.args:
-            return _str_elements(node.args[0])
-        return None
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        out = []
-        for elt in node.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                out.append((elt.value, elt.lineno))
-            else:
-                return None
-        return out
-    return None
-
-
-def _module_assign(file: SourceFile, name: str) -> ast.Assign | None:
+def _module_value(file: SourceFile, name: str) -> ast.expr | None:
+    """The value a module-level (optionally annotated) assignment binds."""
     for node in file.tree.body:
+        targets: list[ast.expr]
         if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return node
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return node.value
     return None
+
+
+def _mutates(spec: ast.expr) -> bool:
+    """Whether an ``OpSpec(...)`` entry passes ``mutates=True``."""
+    return isinstance(spec, ast.Call) and any(
+        keyword.arg == "mutates"
+        and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value is True
+        for keyword in spec.keywords
+    )
 
 
 class _ProtocolFacts:
     """Everything extracted from the protocol module."""
 
-    def __init__(self, file: SourceFile):
+    def __init__(self, file: SourceFile, table: ast.Dict):
         self.file = file
-        ops_node = _module_assign(file, "OPS")
-        self.ops: dict[str, int] = {}
-        self.ops_line = ops_node.lineno if ops_node else 1
-        if ops_node is not None:
-            for value, line in _str_elements(ops_node.value) or []:
-                self.ops[value] = line
+        self.ops_line = table.lineno
+        #: op name -> does its entry declare ``mutates=True``
+        self.ops: dict[str, bool] = {
+            key.value: _mutates(spec)
+            for key, spec in zip(table.keys, table.values)
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+        }
         self.typed_errors: set[str] = set()
-        typed = _module_assign(file, "TYPED_ERRORS")
+        typed = _module_value(file, "TYPED_ERRORS")
         if typed is not None:
-            for node in ast.walk(typed.value):
+            for node in ast.walk(typed):
                 if isinstance(node, ast.Name) and node.id[:1].isupper():
                     self.typed_errors.add(node.id)
         self.special_cased: set[str] = set()
-        self.has_version = False
+        version = _module_value(file, "PROTOCOL_VERSION")
+        self.has_version = isinstance(version, ast.Constant) and isinstance(
+            version.value, int
+        )
         for node in file.tree.body:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "PROTOCOL_VERSION"
-                        and isinstance(node.value, ast.Constant)
-                        and isinstance(node.value.value, int)
-                    ):
-                        self.has_version = True
             if isinstance(node, ast.FunctionDef) and node.name == "raise_remote_error":
                 for sub in ast.walk(node):
                     if isinstance(sub, ast.Compare):
@@ -121,50 +106,19 @@ class _ProtocolFacts:
 
 def _find_protocol(program: Program) -> _ProtocolFacts | None:
     for file in program.files:
-        if (
-            _module_assign(file, "OPS") is not None
-            and _module_assign(file, "WRITE_OPS") is not None
-        ):
-            return _ProtocolFacts(file)
+        table = _module_value(file, "OPS")
+        if isinstance(table, ast.Dict):
+            return _ProtocolFacts(file, table)
     return None
 
 
-def _handler_classes(program: Program) -> dict[str, list]:
-    """op name -> [(FunctionInfo, reads_meta)] over every handler class."""
+def _handlers(program: Program) -> dict[str, list]:
+    """op name -> the ``_op_<name>`` methods of every handler class."""
     handlers: dict[str, list] = {}
     for fn in program.functions.values():
-        if fn.cls is None or not fn.name.startswith(_HANDLER_PREFIX):
-            continue
-        op = fn.name[len(_HANDLER_PREFIX) :]
-        args = fn.node.args.args
-        meta_param = args[1].arg if len(args) > 1 else None
-        reads_meta = False
-        if meta_param is not None:
-            for node in ast.walk(fn.node):
-                if (
-                    isinstance(node, ast.Name)
-                    and node.id == meta_param
-                    and isinstance(node.ctx, ast.Load)
-                ):
-                    reads_meta = True
-                    break
-        handlers.setdefault(op, []).append((fn, reads_meta))
+        if fn.cls is not None and fn.name.startswith(_HANDLER_PREFIX):
+            handlers.setdefault(fn.name[len(_HANDLER_PREFIX) :], []).append(fn)
     return handlers
-
-
-def _validated_ops(program: Program, ops: set[str]) -> set[str]:
-    validated: set[str] = set()
-    for fn in program.functions.values():
-        if fn.name != "validate_request":
-            continue
-        for node in ast.walk(fn.node):
-            if (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and node.value in ops
-            ):
-                validated.add(node.value)
-    return validated
 
 
 def _client_op_literals(file: SourceFile) -> list[tuple[str, int]]:
@@ -198,8 +152,6 @@ def check(program: Program) -> list[Finding]:
     if facts is None or not facts.ops:
         return []
     findings: list[Finding] = []
-    ops = set(facts.ops)
-    handlers = _handler_classes(program)
 
     # PT008 -----------------------------------------------------------------
     if not facts.has_version:
@@ -214,92 +166,12 @@ def check(program: Program) -> list[Finding]:
             )
         )
 
-    # PT001 / PT002 ---------------------------------------------------------
-    if handlers:
-        for op, line in facts.ops.items():
-            if op not in handlers:
-                findings.append(
-                    Finding(
-                        rule="PT001",
-                        path=facts.file.rel_path,
-                        line=line,
-                        symbol="<module>",
-                        message=f"op {op!r} is in OPS but no _op_{op} handler exists",
-                        hint=f"add _op_{op} to the server class or drop the op",
-                    )
-                )
-        for op, sites in handlers.items():
-            if op not in ops:
-                fn = sites[0][0]
-                findings.append(
-                    Finding(
-                        rule="PT002",
-                        path=fn.file.rel_path,
-                        line=fn.node.lineno,
-                        symbol=fn.symbol,
-                        message=(
-                            f"handler _op_{op} exists but {op!r} is not in OPS; "
-                            "clients can never reach it and validation skips it"
-                        ),
-                        hint="add the op to OPS (and validate_request) or remove it",
-                    )
-                )
-
-    # PT003 -----------------------------------------------------------------
-    validated = _validated_ops(program, ops)
-    for op, sites in handlers.items():
-        if op not in ops:
-            continue  # already PT002
-        for fn, reads_meta in sites:
-            if reads_meta and op not in validated:
-                findings.append(
-                    Finding(
-                        rule="PT003",
-                        path=fn.file.rel_path,
-                        line=fn.node.lineno,
-                        symbol=fn.symbol,
-                        message=(
-                            f"handler _op_{op} reads request meta but "
-                            f"validate_request has no arm for {op!r}"
-                        ),
-                        hint="add a validate_request arm checking the fields read",
-                    )
-                )
-
-    # PT004 -----------------------------------------------------------------
-    for file in program.files:
-        for node in file.tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if not (
-                    isinstance(target, ast.Name)
-                    and _OP_SET_RE.match(target.id)
-                    and target.id != "OPS"
-                ):
-                    continue
-                for value, line in _str_elements(node.value) or []:
-                    if value not in ops:
-                        findings.append(
-                            Finding(
-                                rule="PT004",
-                                path=file.rel_path,
-                                line=line,
-                                symbol="<module>",
-                                message=(
-                                    f"{target.id} classifies op {value!r} "
-                                    "which is not in OPS"
-                                ),
-                                hint="classification sets must stay within OPS",
-                            )
-                        )
-
     # PT005 -----------------------------------------------------------------
     for file in program.files:
         if file is facts.file:
             continue
         for value, line in _client_op_literals(file):
-            if value not in ops:
+            if value not in facts.ops:
                 findings.append(
                     Finding(
                         rule="PT005",
@@ -312,14 +184,10 @@ def check(program: Program) -> list[Finding]:
                 )
 
     # PT006 -----------------------------------------------------------------
-    write_ops: set[str] = set()
-    write_node = _module_assign(facts.file, "WRITE_OPS")
-    if write_node is not None:
-        write_ops = {v for v, _ in _str_elements(write_node.value) or []}
-    for op, sites in handlers.items():
-        if op in write_ops or op not in ops:
-            continue
-        for fn, _ in sites:
+    for op, fns in _handlers(program).items():
+        if facts.ops.get(op, True):
+            continue  # a mutating op, or no op at all
+        for fn in fns:
             for node in ast.walk(fn.node):
                 if (
                     isinstance(node, ast.Call)
@@ -337,17 +205,17 @@ def check(program: Program) -> list[Finding]:
                                 f"{node.func.attr}() (runs under the shared "
                                 "lock side)"
                             ),
-                            hint="add the op to WRITE_OPS or drop the mutation",
+                            hint="declare the op mutates=True in OPS or drop the mutation",
                         )
                     )
 
     # PT007 -----------------------------------------------------------------
     known = facts.typed_errors | facts.special_cased | {"RemoteError"}
     for file in program.files:
-        node = _module_assign(file, "_DENIAL_REASONS")
-        if node is None:
+        denials = _module_value(file, "_DENIAL_REASONS")
+        if denials is None:
             continue
-        for sub in ast.walk(node.value):
+        for sub in ast.walk(denials):
             if isinstance(sub, ast.Name) and sub.id[:1].isupper():
                 if sub.id not in known:
                     findings.append(

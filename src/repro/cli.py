@@ -491,8 +491,8 @@ def _add_observability_arguments(parser) -> None:
     )
     parser.add_argument(
         "--slow-threshold", type=float, default=None,
-        help="default slow-op capture threshold in seconds (built-in "
-        "per-op thresholds for push/fetch/chunk ops still apply)",
+        help="slow-op capture threshold in seconds, applied to every op "
+        "(default: each op's latency budget from the protocol op table)",
     )
     parser.add_argument(
         "--slo-config", default=None, metavar="PATH",
@@ -515,10 +515,7 @@ def _build_observability(args):
         exporter.start()
         on_span = exporter.export
     tracer = Tracer(sample_rate=args.sample_rate, on_span=on_span)
-    if args.slow_threshold is not None:
-        slow_ops = SlowOpCapture(default_seconds=args.slow_threshold)
-    else:
-        slow_ops = SlowOpCapture()
+    slow_ops = SlowOpCapture(threshold_seconds=args.slow_threshold)
     profiler = None
     if args.profile:
         profiler = SamplingProfiler(interval=args.profile_interval)

@@ -76,7 +76,7 @@ from ..obs.slo import SLOConfig
 from ..obs.slowops import SlowOpCapture
 from ..obs.trace import Tracer
 from ..remote import pack
-from ..remote.protocol import OPS, WRITE_OPS, decode_message, error_response
+from ..remote.protocol import decode_message, error_response, op_spec
 from ..remote.server import RepositoryServer
 from ..remote.transport import Transport
 from ..storage.chunk_store import FileChunkStore
@@ -116,15 +116,6 @@ HUB_FORMAT_VERSION = 1
 #: working set resident, everything else lives as metadata + shared
 #: chunks on disk until a request touches it.
 DEFAULT_MAX_LOADED_REPOS = 16
-
-#: Read operations a push performs *before* its first write. A missing
-#: repository answers these with empty-repo semantics (served from an
-#: ephemeral, never-registered instance) so "push to a repo that does
-#: not exist yet" bootstraps naturally; content reads (``fetch``,
-#: ``get_chunks``) on a missing repo stay a typed not-found, so a
-#: typo'd clone fails loudly instead of yielding an empty repository.
-PREFLIGHT_OPS = frozenset({"manifest", "known_commits", "missing_chunks"})
-
 
 class HostedRepository:
     """One loaded repository: its server, its backend view, its traffic."""
@@ -835,17 +826,18 @@ class RepositoryHub:
                         )
                     if decode_error is not None:
                         raise decode_error
-                    op = meta.get("op")
-                    write = op in WRITE_OPS
+                    # An unknown op is denied here, before any repository
+                    # is touched or loaded.
+                    spec = op_spec(meta.get("op"))
+                    op = meta["op"]
                     # Observability-driven load shedding: the last
                     # admission gate, still before any repository state
                     # is touched (same never-partially-mutate contract
                     # as auth/quota/rate — _acquire runs strictly after
-                    # this). Only known ops shed, so an unknown op keeps
-                    # its typed protocol error; exempt ops (health,
-                    # stats, trace) always pass so probes work under the
-                    # very overload they diagnose.
-                    if op in OPS:
+                    # this). Shed-exempt ops (health, stats, trace)
+                    # always pass so probes work under the very overload
+                    # they diagnose.
+                    if not spec.shed_exempt:
                         retry_after = self.health.shed_decision(op)
                         if retry_after is not None:
                             self.health.note_shed(op)
@@ -855,9 +847,15 @@ class RepositoryHub:
                                 retry_after=retry_after,
                             )
                 try:
-                    hosted = self._acquire(tenant, repo, create=write)
+                    hosted = self._acquire(tenant, repo, create=spec.mutates)
                 except RepositoryNotFoundError:
-                    if op not in PREFLIGHT_OPS:
+                    # A push's preflight reads on a repository that does
+                    # not exist yet get empty-repo semantics (served from
+                    # an ephemeral, never-registered instance), so "push
+                    # to a new repo" bootstraps; content reads on a
+                    # missing repo stay a typed not-found, so a typo'd
+                    # clone fails loudly instead of yielding nothing.
+                    if not spec.preflight:
                         raise
                     ephemeral = self._new_hosted(
                         tenant, repo, self.default_metric, self.default_seed
@@ -867,7 +865,7 @@ class RepositoryHub:
                         payload, decoded=(meta, blobs)
                     )
                 try:
-                    if write:
+                    if spec.mutates:
                         # Per-tenant serialization makes the quota check
                         # race-free across a tenant's repositories; writes
                         # of different tenants still run concurrently.

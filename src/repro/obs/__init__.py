@@ -43,7 +43,7 @@ an ``if registry is not None`` guard.
 from .critical_path import build_trace_tree, critical_path, render_critical_path
 from .events import emit
 from .export import ExportPolicy, FileSpanSink, HttpSpanSink, SpanExporter, sink_for
-from .health import SHED_EXEMPT_OPS, HealthMonitor
+from .health import HealthMonitor
 from .metrics import (
     NULL_REGISTRY,
     MetricsRegistry,
@@ -58,12 +58,11 @@ from .propagation import (
     inject,
     parse_trace_context,
 )
-from .slo import DEFAULT_OP_OBJECTIVES, SLOConfig, SLObjective
+from .slo import SLOConfig, SLObjective
 from .slowops import SlowOpCapture
 from .trace import NULL_TRACER, Span, Tracer, default_tracer
 
 __all__ = [
-    "DEFAULT_OP_OBJECTIVES",
     "ExportPolicy",
     "FileSpanSink",
     "HealthMonitor",
@@ -72,7 +71,6 @@ __all__ = [
     "NULL_REGISTRY",
     "NULL_TRACER",
     "RemoteSpanContext",
-    "SHED_EXEMPT_OPS",
     "SLOConfig",
     "SLObjective",
     "SamplingProfiler",

@@ -15,10 +15,10 @@ Keep/drop semantics compose three signals:
   client and server export the same subset;
 * **always-sample on error** — a span with ``status="error"`` is kept
   regardless, because the traces worth money are the ones that failed;
-* **always-sample on latency** — a span slower than its per-op
-  threshold (``slow_op_seconds`` keyed by the span's ``op`` attribute
-  or name, with a default) is kept regardless, the export-side twin of
-  slow-op capture.
+* **always-sample on latency** — a span slower than its op's latency
+  budget (``budget_s`` in the protocol op table, keyed by the span's
+  ``op`` attribute) is kept regardless, the export-side twin of slow-op
+  capture.
 
 The queue is bounded and *lossy by design*: when the collector cannot
 keep up, the oldest queued spans are dropped and counted
@@ -33,44 +33,23 @@ import threading
 from collections import deque
 from urllib.parse import urlparse
 
+from .slo import op_budgets
+
 
 class ExportPolicy:
-    """Which finished spans are worth exporting.
+    """Which finished spans are worth exporting: sampled ones, failed
+    ones, and ones that ran over their op's latency budget. A span with
+    no ``op`` attribute has no budget."""
 
-    ``slow_op_seconds`` maps an op name (the span's ``op`` attribute,
-    falling back to the span name) to its latency threshold;
-    ``default_slow_seconds`` applies to everything unlisted (None
-    disables the latency override for unlisted ops).
-    """
-
-    def __init__(
-        self,
-        slow_op_seconds: dict[str, float] | None = None,
-        default_slow_seconds: float | None = None,
-        keep_errors: bool = True,
-    ):
-        self.slow_op_seconds = dict(slow_op_seconds or {})
-        self.default_slow_seconds = default_slow_seconds
-        self.keep_errors = keep_errors
-
-    def threshold_for(self, op: str | None) -> float | None:
-        if op is not None and op in self.slow_op_seconds:
-            return self.slow_op_seconds[op]
-        return self.default_slow_seconds
+    def __init__(self) -> None:
+        self._budgets = op_budgets()
 
     def keep(self, span: dict) -> bool:
-        if span.get("sampled", True):
+        if span.get("sampled", True) or span.get("status") == "error":
             return True
-        if self.keep_errors and span.get("status") == "error":
-            return True
-        op = span.get("attrs", {}).get("op") or span.get("name")
-        threshold = self.threshold_for(op)
+        budget = self._budgets.get(span.get("attrs", {}).get("op"))
         seconds = span.get("seconds")
-        return (
-            threshold is not None
-            and seconds is not None
-            and seconds >= threshold
-        )
+        return budget is not None and seconds is not None and seconds >= budget
 
 
 class FileSpanSink:
@@ -154,12 +133,11 @@ class SpanExporter:
     def __init__(
         self,
         sink,
-        policy: ExportPolicy | None = None,
         max_queue: int = 2048,
         flush_interval: float = 0.5,
     ):
         self.sink = sink
-        self.policy = policy if policy is not None else ExportPolicy()
+        self.policy = ExportPolicy()
         self.flush_interval = flush_interval
         self._queue: deque[dict] = deque(maxlen=max(1, max_queue))
         self._lock = threading.Lock()

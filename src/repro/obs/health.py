@@ -44,10 +44,6 @@ from .metrics import NULL_REGISTRY
 from .slo import SLOConfig
 from .trace import NULL_TRACER
 
-#: Ops never shed: the probes an operator (or an automated client
-#: backing off) needs precisely when the server is overloaded.
-SHED_EXEMPT_OPS = frozenset({"health", "stats", "trace"})
-
 #: Quantiles the window report carries.
 _QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
@@ -334,13 +330,13 @@ class HealthMonitor:
 
         Returns the ``retry_after`` hint (seconds) to send the client,
         or None to admit. Called by the hub *before* any repository
-        state is touched; exempt ops (:data:`SHED_EXEMPT_OPS`) are never
-        shed so probes and backoff decisions keep working under load.
+        state is touched, and never for the op table's shed-exempt ops,
+        so probes and backoff decisions keep working under load.
         Latency-driven: sheds when the windowed p99 of this op has
         breached its objective across at least ``min_samples`` requests,
         or when the scheduler queue is saturated — never on error burn.
         """
-        if not self.slo.shed_enabled or op in SHED_EXEMPT_OPS:
+        if not self.slo.shed_enabled:
             return None
         self._tick()
         window = self.window()
@@ -411,4 +407,4 @@ class HealthMonitor:
         }
 
 
-__all__ = ["SHED_EXEMPT_OPS", "HealthMonitor"]
+__all__ = ["HealthMonitor"]

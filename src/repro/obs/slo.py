@@ -18,9 +18,10 @@ Two consumers with deliberately different signals:
 
 Everything here is plain data — JSON-loadable via :meth:`SLOConfig.load`
 (the ``--slo-config`` flag on both serve verbs) — so operators tune
-objectives without touching code. :data:`DEFAULT_OP_OBJECTIVES` must
-cover every op in :data:`repro.remote.protocol.OPS`; the OB006 lint rule
-holds that line, so a new RPC cannot ship invisible to the health model.
+objectives without touching code. The defaults are the per-op latency
+budgets of the protocol op table (``budget_s`` in
+:data:`repro.remote.protocol.OPS`), so every wire op has an objective by
+construction; :func:`op_budgets` is the one place ``obs`` reads them.
 """
 
 from __future__ import annotations
@@ -28,25 +29,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-#: Default per-op p99 latency objectives (seconds). Writes move chunk
-#: content and get generous budgets (aligned with the slow-op capture
-#: thresholds in :mod:`repro.obs.slowops`); metadata reads are expected
-#: to be near-instant. Keys must cover every member of
-#: :data:`repro.remote.protocol.OPS` — the OB006 lint rule checks this
-#: dict literal statically, so keep it a literal.
-DEFAULT_OP_OBJECTIVES = {
-    "manifest": 0.5,
-    "known_commits": 0.5,
-    "missing_chunks": 0.5,
-    "get_chunks": 2.0,
-    "put_chunks": 5.0,
-    "fetch": 2.0,
-    "push": 5.0,
-    "stats": 0.5,
-    "lineage": 1.0,
-    "trace": 1.0,
-    "health": 0.5,
-}
+def op_budgets() -> dict[str, float]:
+    """Every wire op's p99 latency budget (seconds), from the op table.
+
+    The slow-op capture and the span exporter derive their thresholds
+    from here too. The import is deferred to call time on purpose:
+    ``repro.remote`` imports ``obs`` while it initializes, so a
+    module-level import in this direction would run against a
+    half-initialized module. Callers resolve the budgets once, when they
+    are built, never per request.
+    """
+    from ..remote.protocol import OPS
+
+    return {op: spec.budget_s for op, spec in OPS.items()}
+
 
 #: Default availability objective: at most 1% of requests may fail
 #: before the error budget is spent.
@@ -127,11 +123,11 @@ class SLOConfig:
 
     @classmethod
     def default(cls) -> "SLOConfig":
-        """The stock config: every wire op covered at its default p99."""
+        """The stock config: every wire op held to its table budget."""
         return cls(
             objectives={
                 op: SLObjective(op, seconds)
-                for op, seconds in DEFAULT_OP_OBJECTIVES.items()
+                for op, seconds in op_budgets().items()
             }
         )
 
@@ -220,8 +216,8 @@ class SLOConfig:
 __all__ = [
     "DEFAULT_AVAILABILITY",
     "DEFAULT_FAST_BURN",
-    "DEFAULT_OP_OBJECTIVES",
     "DEFAULT_SLOW_BURN",
     "SLObjective",
     "SLOConfig",
+    "op_budgets",
 ]

@@ -2,7 +2,9 @@
 latency budget.
 
 Metrics say *that* an op was slow; a capture says *why*: when a handled
-operation exceeds its per-op threshold, the server snapshots
+operation exceeds its latency budget (``budget_s`` in the protocol op
+table, unless one uniform threshold overrides every op), the server
+snapshots
 
 * the finished **span tree** of the request's trace (lock waits, chunk
   imports, admission — the request's own account of its time), and
@@ -27,37 +29,28 @@ import time
 from collections import deque
 
 from . import profiler as obs_profiler
-
-#: Per-op default latency budgets (seconds). Writes move content and
-#: get generous budgets; metadata reads are expected to be instant.
-DEFAULT_SLOW_OP_SECONDS = 1.0
-DEFAULT_OP_THRESHOLDS = {
-    "push": 5.0,
-    "put_chunks": 5.0,
-    "fetch": 2.0,
-    "get_chunks": 2.0,
-}
+from .slo import op_budgets
 
 
 class SlowOpCapture:
     """Bounded ring of forensic snapshots of over-budget operations.
 
-    ``thresholds`` overrides/extends the per-op defaults;
-    ``default_seconds`` is the budget for unlisted ops (None disables
-    capture for them); ``max_captures`` bounds memory — a misconfigured
-    threshold cannot turn the capture ring into a span archive.
+    Each op is held to its budget from the op table; ``threshold_seconds``
+    (the ``--slow-threshold`` flag) instead holds every op to one uniform
+    threshold. An op outside the table (a request that named none) has
+    no budget and is never captured unless the uniform threshold is set.
+    ``max_captures`` bounds memory — a misconfigured threshold cannot
+    turn the capture ring into a span archive.
     """
 
     def __init__(
         self,
-        thresholds: dict[str, float] | None = None,
-        default_seconds: float | None = DEFAULT_SLOW_OP_SECONDS,
+        threshold_seconds: float | None = None,
         max_captures: int = 32,
         max_spans_per_capture: int = 256,
     ):
-        self.thresholds = dict(DEFAULT_OP_THRESHOLDS)
-        self.thresholds.update(thresholds or {})
-        self.default_seconds = default_seconds
+        self.threshold_seconds = threshold_seconds
+        self._budgets = op_budgets()
         self.max_spans_per_capture = max_spans_per_capture
         self._lock = threading.Lock()
         self._captures: deque[dict] = deque(maxlen=max(1, max_captures))
@@ -65,7 +58,9 @@ class SlowOpCapture:
         self.captured = 0
 
     def threshold_for(self, op: str) -> float | None:
-        return self.thresholds.get(op, self.default_seconds)
+        if self.threshold_seconds is not None:
+            return self.threshold_seconds
+        return self._budgets.get(op)
 
     def observe(
         self,
@@ -119,12 +114,8 @@ class SlowOpCapture:
                 "observed": self.observed,
                 "captured": self.captured,
                 "retained": len(self._captures),
-                "default_seconds": self.default_seconds,
+                "threshold_seconds": self.threshold_seconds,
             }
 
 
-__all__ = [
-    "DEFAULT_OP_THRESHOLDS",
-    "DEFAULT_SLOW_OP_SECONDS",
-    "SlowOpCapture",
-]
+__all__ = ["SlowOpCapture"]

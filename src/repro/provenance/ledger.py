@@ -325,12 +325,12 @@ class LineageLedger:
             self._mirror.inc()
         return True
 
-    def import_entries(self, entries) -> int:
-        """Import dict-codec entries (the pack/disk form); returns how
-        many were new."""
+    def import_entries(self, records) -> int:
+        """Import decoded records (a pack's or a payload's rows); returns
+        how many were new."""
         imported = 0
-        for entry in entries:
-            if self.import_record(lineage_record_from_dict(entry)):
+        for record in records:
+            if self.import_record(record):
                 imported += 1
         return imported
 
@@ -339,4 +339,7 @@ class LineageLedger:
         return {"records": [lineage_record_to_dict(r) for r in self.records()]}
 
     def load_payload(self, payload: dict) -> int:
-        return self.import_entries(payload.get("records", []))
+        return self.import_entries(
+            lineage_record_from_dict(entry)
+            for entry in payload.get("records", [])
+        )

@@ -246,6 +246,9 @@ class Remote:
         meta, _ = self._call(
             {"op": "fetch", "want": want, "have_commits": have}
         )
+        # Decoded up front: a row the codecs cannot read fails the fetch
+        # before any of its content lands.
+        incoming = pack.decode_pack(meta)
 
         # Chunk transfer is windowed to max_pack_bytes per response and
         # each batch is imported (integrity-verified) as it arrives, so
@@ -296,16 +299,16 @@ class Remote:
         # delta, so grafting commits before their content has safely
         # landed would make a retry after a failed transfer believe there
         # is nothing left to fetch.
-        pack.import_specs(self.repo, meta.get("specs", {}))
+        pack.import_specs(self.repo, incoming.specs)
         pack.import_content(
             self.repo,
-            meta.get("recipes", []),
-            meta.get("records", []),
+            incoming.recipes,
+            incoming.records,
             [],
             [],
-            lineage_entries=meta.get("lineage", []),
+            lineage=incoming.lineage,
         )
-        added = pack.import_commits(self.repo, meta.get("commits", []))
+        added = pack.import_commits(self.repo, incoming.commits)
         result = FetchResult(
             refs=meta.get("refs", {}),
             commits_received=len(added),

@@ -29,11 +29,12 @@ Import is the mirror image, with two invariants:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import replace
+from typing import NamedTuple
 
-from collections.abc import Callable, Iterable, Iterator
-
-from ..errors import RemoteError
+from ..core.checkpoint import CheckpointRecord
+from ..core.commit import PipelineCommit
 from ..core.persistence import (
     commit_from_dict,
     commit_to_dict,
@@ -44,7 +45,14 @@ from ..core.persistence import (
     spec_from_dict,
     spec_to_dict,
 )
-from ..provenance.ledger import lineage_record_to_dict
+from ..core.pipeline import PipelineSpec
+from ..errors import MLCaskError, RemoteError, RemoteProtocolError
+from ..provenance.ledger import (
+    LineageRecord,
+    lineage_record_from_dict,
+    lineage_record_to_dict,
+)
+from ..storage.object_store import Recipe
 
 
 #: Upper bound on the chunk payload of a single wire message. Both sides
@@ -155,31 +163,83 @@ def pack_meta(repo, commits, recipes, records, chunk_digests) -> dict:
 
 
 # ---------------------------------------------------------------- import
-def import_specs(repo, specs: dict) -> None:
-    """Adopt pipeline specs; a conflicting redefinition is an error."""
-    for name, entry in specs.items():
-        spec = spec_from_dict(name, entry)
-        existing = repo._specs.get(name)
-        if existing is None:
-            repo._specs[name] = spec
-        elif existing.stages != spec.stages or existing.edges != spec.edges:
+class DecodedPack(NamedTuple):
+    """A pack's JSON half with every row decoded by its codec."""
+
+    specs: list[PipelineSpec]
+    commits: list[PipelineCommit]
+    recipes: list[Recipe]
+    records: list[CheckpointRecord]
+    lineage: list[LineageRecord]
+
+
+#: What a codec raises on a row it cannot read: a missing key, a wrong
+#: type, an unparseable version or an inconsistent spec.
+_CODEC_ERRORS = (AttributeError, KeyError, TypeError, ValueError, MLCaskError)
+
+
+def _decode_rows(key: str, codec, entries) -> list:
+    rows = []
+    for index, entry in enumerate(entries):
+        try:
+            rows.append(codec(entry))
+        except _CODEC_ERRORS as error:
+            raise RemoteProtocolError(
+                f"{key}[{index}]: {type(error).__name__}: {error}"
+            ) from None
+    return rows
+
+
+def decode_pack(meta: dict) -> DecodedPack:
+    """Decode every row of a pack before any of it imports.
+
+    A row its codec cannot read raises :class:`RemoteProtocolError`
+    naming the row (``commits[0]: KeyError: 'pipeline'``) while the
+    receiving repository is still untouched; the import functions below
+    then take the decoded rows, so nothing is decoded twice.
+    """
+    return DecodedPack(
+        specs=_decode_rows(
+            "specs",
+            lambda item: spec_from_dict(*item),
+            meta.get("specs", {}).items(),
+        ),
+        commits=_decode_rows("commits", commit_from_dict, meta.get("commits", [])),
+        recipes=_decode_rows("recipes", recipe_from_dict, meta.get("recipes", [])),
+        records=_decode_rows("records", record_from_dict, meta.get("records", [])),
+        lineage=_decode_rows(
+            "lineage", lineage_record_from_dict, meta.get("lineage", [])
+        ),
+    )
+
+
+def import_specs(repo, specs: list[PipelineSpec]) -> None:
+    """Adopt pipeline specs; a conflicting redefinition is an error,
+    raised before any of them registers."""
+    for spec in specs:
+        existing = repo._specs.get(spec.name)
+        if existing is not None and (
+            existing.stages != spec.stages or existing.edges != spec.edges
+        ):
             raise RemoteError(
-                f"pipeline {name!r} exists locally with a different spec"
+                f"pipeline {spec.name!r} exists locally with a different spec"
             )
+    for spec in specs:
+        repo._specs.setdefault(spec.name, spec)
 
 
-def import_commits(repo, commit_entries) -> list:
+def import_commits(repo, commits: list[PipelineCommit]) -> list:
     """Graft new commits into the local graph; returns the commits added.
 
-    Entries are applied in sender-sequence order and re-stamped with local
+    Commits are applied in sender-sequence order and re-stamped with local
     sequence numbers; commits already present (content-derived ids match)
     are skipped, which also makes import idempotent.
     """
     added = []
-    for entry in sorted(commit_entries, key=lambda e: e["sequence"]):
-        if entry["commit_id"] in repo.graph:
+    for commit in sorted(commits, key=lambda c: c.sequence):
+        if commit.commit_id in repo.graph:
             continue
-        commit = replace(commit_from_dict(entry), sequence=repo._next_sequence())
+        commit = replace(commit, sequence=repo._next_sequence())
         repo.graph.add(commit)
         repo.branches.note_commit(commit.pipeline, commit.branch)
         added.append(commit)
@@ -188,11 +248,11 @@ def import_commits(repo, commit_entries) -> list:
 
 def import_content(
     repo,
-    recipe_entries,
-    record_entries,
+    recipes: list[Recipe],
+    records: list[CheckpointRecord],
     chunk_digests,
     chunk_blobs,
-    lineage_entries=(),
+    lineage: Sequence[LineageRecord] = (),
 ) -> int:
     """Adopt recipes, checkpoint records, lineage, and verified chunks.
 
@@ -213,14 +273,14 @@ def import_content(
     for digest, blob in zip(chunk_digests, chunk_blobs):
         if repo.objects.import_chunk(digest, blob):
             new += 1
-    for entry in recipe_entries:
-        repo.objects.add_recipe(recipe_from_dict(entry))
-    for entry in record_entries:
-        repo.checkpoints.import_record(record_from_dict(entry))
-    if lineage_entries:
+    for recipe in recipes:
+        repo.objects.add_recipe(recipe)
+    for record in records:
+        repo.checkpoints.import_record(record)
+    if lineage:
         ledger = getattr(repo, "lineage", None)
         if ledger is not None:
-            ledger.import_entries(lineage_entries)
+            ledger.import_entries(lineage)
     return new
 
 

@@ -56,6 +56,7 @@ import json
 import threading
 import time
 from collections import OrderedDict
+from typing import NoReturn
 
 from ..errors import MLCaskError, PushRejectedError, RemoteProtocolError
 from ..obs import metrics as obs_metrics
@@ -67,13 +68,7 @@ from ..obs.slo import SLOConfig
 from ..obs.slowops import SlowOpCapture
 from ..obs.trace import Tracer
 from . import pack
-from .protocol import (
-    OPS,
-    WRITE_OPS,
-    decode_message,
-    encode_message,
-    error_response,
-)
+from .protocol import OPS, decode_message, encode_message, error_response, op_spec
 from .transport import RPC_PATH
 
 #: GET routes both HTTP endpoints answer: the Prometheus text scrape,
@@ -93,22 +88,6 @@ DEBUG_SLOW_PATH = "/debug/slow"
 #: it names tenants and ops.
 HEALTHZ_PATH = "/healthz"
 READYZ_PATH = "/readyz"
-
-#: Read operations whose responses are worth caching: pure metadata, so
-#: entries stay small. ``get_chunks`` is deliberately excluded — content
-#: reads are already O(1) store lookups and their responses are up to a
-#: full pack window each, the wrong trade for a metadata cache.
-#: ``lineage`` qualifies: closures over an append-only ledger are a pure
-#: function of repository state, and the state token carries the ledger
-#: revision, so cached answers expire the moment a new record lands.
-CACHEABLE_OPS = frozenset(
-    {"manifest", "known_commits", "missing_chunks", "fetch", "lineage"}
-)
-
-#: The query forms one ``lineage`` request can carry, mapped to the
-#: provenance-query entry points they dispatch to.
-LINEAGE_QUERIES = ("lineage", "consumers", "impact", "trace")
-
 
 class RWLock:
     """A reader-writer lock: many readers or one writer, writer preference.
@@ -251,143 +230,27 @@ class ResponseCache:
 
 
 # ------------------------------------------------------- request validation
-def _fail(op: str, message: str):
+def _fail(op: str, message: str) -> NoReturn:
     raise RemoteProtocolError(f"invalid {op} request: {message}")
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _is_dict_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, dict) for v in value)
-
-
-def _check_digest_blob_parallel(op: str, meta: dict, blobs: list) -> None:
-    digests = meta.get("chunk_digests" if op == "push" else "digests", [])
-    if not _is_str_list(digests):
-        _fail(op, "chunk digests must be a list of strings")
-    if len(digests) != len(blobs):
-        _fail(op, f"{len(digests)} chunk digests but {len(blobs)} blobs")
 
 
 def validate_request(op: str, meta: dict, blobs: list) -> None:
     """Schema-check a request before any handler state is touched.
 
-    Everything a handler would otherwise discover as a ``KeyError`` or
-    ``TypeError`` mid-operation is rejected here as a typed
-    :class:`RemoteProtocolError` instead.
+    Interprets the op's schema in :data:`~repro.remote.protocol.OPS`:
+    every declared field present in ``meta`` must have its kind, then
+    every cross-field check must pass. Everything a handler would
+    otherwise discover as a ``KeyError`` or ``TypeError`` mid-operation
+    is rejected here as a typed :class:`RemoteProtocolError` instead.
     """
-    if op == "known_commits":
-        if not _is_str_list(meta.get("ids", [])):
-            _fail(op, "'ids' must be a list of strings")
-    elif op == "missing_chunks":
-        if not _is_str_list(meta.get("digests", [])):
-            _fail(op, "'digests' must be a list of strings")
-    elif op == "get_chunks":
-        if not _is_str_list(meta.get("digests", [])):
-            _fail(op, "'digests' must be a list of strings")
-        max_bytes = meta.get("max_bytes")
-        if max_bytes is not None and (
-            not isinstance(max_bytes, int)
-            or isinstance(max_bytes, bool)
-            or max_bytes <= 0
-        ):
-            _fail(op, "'max_bytes' must be a positive integer")
-    elif op == "put_chunks":
-        _check_digest_blob_parallel(op, meta, blobs)
-    elif op == "fetch":
-        want = meta.get("want")
-        if want is not None:
-            if not isinstance(want, dict):
-                _fail(op, "'want' must be null or {pipeline: [branch, ...]}")
-            for pipeline, branches in want.items():
-                if not isinstance(pipeline, str) or not _is_str_list(branches):
-                    _fail(op, "'want' must map pipeline names to branch lists")
-        if not _is_str_list(meta.get("have_commits", [])):
-            _fail(op, "'have_commits' must be a list of strings")
-    elif op == "push":
-        commits = meta.get("commits", [])
-        if not _is_dict_list(commits):
-            _fail(op, "'commits' must be a list of commit dicts")
-        for entry in commits:
-            if not isinstance(entry.get("commit_id"), str):
-                _fail(op, "every commit needs a string 'commit_id'")
-            if not isinstance(entry.get("sequence"), int):
-                _fail(op, "every commit needs an integer 'sequence'")
-        if not isinstance(meta.get("specs", {}), dict):
-            _fail(op, "'specs' must be a dict")
-        recipes = meta.get("recipes", [])
-        if not _is_dict_list(recipes):
-            _fail(op, "'recipes' must be a list of recipe dicts")
-        for entry in recipes:
-            if (
-                not isinstance(entry.get("blob"), str)
-                or not _is_str_list(entry.get("chunks"))
-                or not isinstance(entry.get("size"), int)
-                or isinstance(entry.get("size"), bool)
-            ):
-                _fail(
-                    op,
-                    "every recipe needs a string 'blob', a 'chunks' list of "
-                    "strings, and an integer 'size'",
-                )
-        if not _is_dict_list(meta.get("records", [])):
-            _fail(op, "'records' must be a list of record dicts")
-        if not _is_dict_list(meta.get("lineage", [])):
-            _fail(op, "'lineage' must be a list of lineage-record dicts")
-        _check_digest_blob_parallel(op, meta, blobs)
-        refs = meta.get("refs", {})
-        if not isinstance(refs, dict):
-            _fail(op, "'refs' must be {pipeline: {branch: {old, new}}}")
-        for pipeline, branches in refs.items():
-            if not isinstance(pipeline, str) or not isinstance(branches, dict):
-                _fail(op, "'refs' must be {pipeline: {branch: {old, new}}}")
-            for branch, update in branches.items():
-                if not isinstance(branch, str) or not isinstance(update, dict):
-                    _fail(op, "every ref update must be a {old, new} dict")
-                if not isinstance(update.get("new"), str) or not update["new"]:
-                    _fail(
-                        op,
-                        f"ref update for {pipeline}:{branch} is missing a "
-                        "non-empty 'new' head",
-                    )
-                old = update.get("old")
-                if old is not None and not isinstance(old, str):
-                    _fail(
-                        op,
-                        f"ref update for {pipeline}:{branch} has a non-string "
-                        "'old' head",
-                    )
-    elif op == "lineage":
-        query = meta.get("query")
-        if query not in LINEAGE_QUERIES:
-            _fail(op, f"'query' must be one of {LINEAGE_QUERIES}")
-        if query in ("lineage", "consumers") and not isinstance(
-            meta.get("ref"), str
-        ):
-            _fail(op, f"a {query!r} query needs a string 'ref'")
-        if query == "impact":
-            if not isinstance(meta.get("component"), str):
-                _fail(op, "an 'impact' query needs a string 'component'")
-            version = meta.get("version")
-            if version is not None and not isinstance(version, str):
-                _fail(op, "'version' must be null or a string")
-        if query == "trace" and not isinstance(meta.get("trace_id"), str):
-            _fail(op, "a 'trace' query needs a string 'trace_id'")
-    elif op == "trace":
-        trace_id = meta.get("trace_id")
-        if trace_id is not None and not isinstance(trace_id, str):
-            _fail(op, "'trace_id' must be null or a string")
-        limit = meta.get("limit")
-        if limit is not None and (
-            not isinstance(limit, int)
-            or isinstance(limit, bool)
-            or limit <= 0
-        ):
-            _fail(op, "'limit' must be a positive integer")
-        if not isinstance(meta.get("slow", False), bool):
-            _fail(op, "'slow' must be a boolean")
+    spec = OPS[op]
+    for name, kind in spec.fields.items():
+        if name in meta and not kind.accepts(meta[name]):
+            _fail(op, f"'{name}' must be {kind.expected}")
+    for check in spec.checks:
+        problem = check(meta, blobs)
+        if problem is not None:
+            _fail(op, problem)
 
 
 class RepositoryServer:
@@ -561,10 +424,8 @@ class RepositoryServer:
             meta, blobs = (
                 decoded if decoded is not None else decode_message(payload)
             )
-            requested = meta.get("op")
-            if requested not in OPS:
-                raise RemoteProtocolError(f"unknown operation {requested!r}")
-            op = requested
+            op_spec(meta.get("op"))  # typed error unless a table op
+            op = meta["op"]
             validate_request(op, meta, blobs)
             # A propagated trace context (schema-additive trace_ctx meta
             # key) makes the server's spans children of the client's —
@@ -611,7 +472,8 @@ class RepositoryServer:
     def _dispatch(self, op: str, meta: dict, blobs: list, payload: bytes) -> bytes:
         """Route one validated operation through locking and the cache."""
         handler = getattr(self, f"_op_{op}")
-        if op in WRITE_OPS or self.exclusive:
+        spec = OPS[op]
+        if spec.mutates or self.exclusive:
             with self._locked("write"):
                 try:
                     return handler(meta, blobs)
@@ -619,9 +481,9 @@ class RepositoryServer:
                     # Even a failed/rejected write may have grafted
                     # content before raising; the revision tokens catch
                     # most of that, the wholesale clear catches all.
-                    if op in WRITE_OPS:
+                    if spec.mutates:
                         self.cache.invalidate()
-        if op in CACHEABLE_OPS:
+        if spec.cacheable:
             key = hashlib.sha256(self._cache_key_bytes(meta, blobs, payload)).digest()
             cached = self.cache.get(key, self._state_token())
             if cached is not None:
@@ -994,26 +856,32 @@ class RepositoryServer:
         non-fast-forward is, so no update is ever lost silently.
         """
         repo = self.repo
+        # Every row decodes before anything imports: a commit, record or
+        # lineage row its codec cannot read fails the push while the
+        # repository is still untouched, and the decoded rows are the
+        # ones imported below.
+        try:
+            incoming = pack.decode_pack(meta)
+        except RemoteProtocolError as error:
+            _fail("push", str(error))
         # Content-completeness gate, before anything imports: every chunk a
         # pushed recipe references must either ride in this message or
         # already be held (landed by put_chunks pre-seeding or earlier
         # syncs). Without this, a schema-valid push could register recipes
         # pointing at content the server was never given — poisoning every
         # later fetch of that branch with an unservable chunk digest.
-        incoming = set(meta.get("chunk_digests", []))
+        chunk_digests = meta.get("chunk_digests", [])
         referenced = {
-            digest
-            for entry in meta.get("recipes", [])
-            for digest in entry["chunks"]
+            digest for recipe in incoming.recipes for digest in recipe.chunk_digests
         }
-        absent = repo.objects.chunks.missing(sorted(referenced - incoming))
+        absent = repo.objects.chunks.missing(sorted(referenced - set(chunk_digests)))
         if absent:
             raise RemoteProtocolError(
                 f"push references {len(absent)} chunks neither included in "
                 f"the pack nor held by the server (first: {absent[0][:12]}); "
                 "negotiate with missing_chunks and resend"
             )
-        pack.import_specs(repo, meta.get("specs", {}))
+        pack.import_specs(repo, incoming.specs)
         # Content lands before commits (the mirror of the client-fetch
         # ordering): if a blob fails its integrity check here, nothing has
         # been grafted yet — grafting commits first would leave orphans a
@@ -1021,18 +889,18 @@ class RepositoryServer:
         # never arrived, the poisoned state the gate above exists to stop.
         with self.tracer.span(
             "storage.import",
-            chunks=len(meta.get("chunk_digests", [])),
+            chunks=len(chunk_digests),
             bytes=sum(len(blob) for blob in blobs),
         ):
             new_chunks = pack.import_content(
                 repo,
-                meta.get("recipes", []),
-                meta.get("records", []),
-                meta.get("chunk_digests", []),
+                incoming.recipes,
+                incoming.records,
+                chunk_digests,
                 blobs,
-                lineage_entries=meta.get("lineage", []),
+                lineage=incoming.lineage,
             )
-            pack.import_commits(repo, meta.get("commits", []))
+            pack.import_commits(repo, incoming.commits)
 
         updates = meta.get("refs", {})
         # Validate every update before applying any: a push is atomic.
@@ -1397,7 +1265,7 @@ def serve(
     overhead benchmark's baseline arm).
 
     ``slow_ops`` defaults to a fresh :class:`SlowOpCapture` with the
-    stock per-op budgets — an HTTP endpoint should be able to answer
+    op table's latency budgets — an HTTP endpoint should be able to answer
     ``GET /debug/slow`` out of the box; check costs one comparison per
     request and nothing is snapshotted under budget. ``profiler``
     (optional, a started :class:`~repro.obs.profiler.SamplingProfiler`)

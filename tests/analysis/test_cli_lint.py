@@ -95,7 +95,7 @@ class TestLintVerb:
     def test_list_rules(self):
         code, text = run_cli("lint", "--list-rules")
         assert code == 0
-        for rule_id in ("LK001", "LK002", "PT001", "OB001"):
+        for rule_id in ("LK001", "LK002", "PT005", "OB001"):
             assert rule_id in text
 
     def test_missing_directory_is_an_error(self, tmp_path):

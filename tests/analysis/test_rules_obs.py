@@ -334,146 +334,3 @@ class TestOB005TraceContinuity:
         )
         findings = tree.findings("OB005")
         assert len(findings) == 1
-
-
-PROTOCOL_MODULE = """\
-OPS = ("manifest", "fetch", "health")
-WRITE_OPS = frozenset({"push"})
-"""
-
-
-class TestOB006SLOCoverage:
-    def test_missing_objective_flagged(self, tree, line_of):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        source = tree.write(
-            "obs/slo.py",
-            """\
-            DEFAULT_OP_OBJECTIVES = {  # MARK objectives
-                "manifest": 0.5,
-                "fetch": 2.0,
-            }
-            """,
-        )
-        findings = tree.findings("OB006")
-        assert len(findings) == 1
-        assert "op 'health'" in findings[0].message
-        assert findings[0].line == line_of(source, "MARK objectives")
-
-    def test_objective_for_unknown_op_flagged(self, tree, line_of):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        source = tree.write(
-            "obs/slo.py",
-            """\
-            DEFAULT_OP_OBJECTIVES = {
-                "manifest": 0.5,
-                "fetch": 2.0,
-                "health": 0.5,
-                "telemetry": 1.0,  # MARK stale op
-            }
-            """,
-        )
-        findings = tree.findings("OB006")
-        assert len(findings) == 1
-        assert "op 'telemetry'" in findings[0].message
-        assert findings[0].line == line_of(source, "MARK stale op")
-
-    def test_full_coverage_passes(self, tree):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        tree.write(
-            "obs/slo.py",
-            """\
-            DEFAULT_OP_OBJECTIVES = {
-                "manifest": 0.5,
-                "fetch": 2.0,
-                "health": 0.5,
-            }
-            """,
-        )
-        assert tree.findings("OB006") == []
-
-    def test_silent_without_a_protocol_module(self, tree):
-        # Same discovery rule as the PT pack: no OPS table, no opinion.
-        tree.write(
-            "obs/slo.py",
-            """\
-            DEFAULT_OP_OBJECTIVES = {"manifest": 0.5}
-            """,
-        )
-        assert tree.findings("OB006") == []
-
-
-class TestOB006HistogramCoverage:
-    def server(self, children: str) -> str:
-        return (
-            "from .protocol import OPS\n"
-            "\n"
-            "class Server:\n"
-            "    def __init__(self, registry):\n"
-            "        seconds = registry.histogram(\n"
-            '            "repro_request_seconds", "latency",\n'
-            '            ("op", "tenant"),\n'
-            "        )\n"
-            f"        {children}\n"
-        )
-
-    def objectives(self) -> str:
-        return (
-            "DEFAULT_OP_OBJECTIVES = "
-            '{"manifest": 0.5, "fetch": 2.0, "health": 0.5}\n'
-        )
-
-    def test_ops_comprehension_passes(self, tree):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        tree.write("obs/slo.py", self.objectives())
-        tree.write(
-            "remote/server.py",
-            self.server(
-                "self._m = {op: seconds.labels(op=op) for op in OPS}"
-            ),
-        )
-        assert tree.findings("OB006") == []
-
-    def test_starred_alias_passes(self, tree):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        tree.write("obs/slo.py", self.objectives())
-        tree.write(
-            "remote/server.py",
-            self.server(
-                'tracked = (*OPS, "invalid")\n'
-                "        self._m = "
-                "{op: seconds.labels(op=op) for op in tracked}"
-            ),
-        )
-        assert tree.findings("OB006") == []
-
-    def test_hand_listed_subset_flagged(self, tree):
-        # Children resolved from a hand-maintained literal: the next op
-        # added to OPS would serve without sliding-window percentiles.
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        tree.write("obs/slo.py", self.objectives())
-        tree.write(
-            "remote/server.py",
-            self.server(
-                'self._m = {op: seconds.labels(op=op) '
-                'for op in ("manifest", "fetch")}'
-            ),
-        )
-        findings = tree.findings("OB006")
-        assert len(findings) == 1
-        assert "iterating the protocol OPS table" in findings[0].message
-
-    def test_histogram_without_op_label_exempt(self, tree):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        tree.write("obs/slo.py", self.objectives())
-        tree.write(
-            "remote/server.py",
-            """\
-            class Server:
-                def __init__(self, registry):
-                    waits = registry.histogram(
-                        "repro_lock_wait_seconds", "waits", ("mode",)
-                    )
-                    self._m = {m: waits.labels(mode=m) for m in ("r", "w")}
-            """,
-        )
-        assert tree.findings("OB006") == []

@@ -2,20 +2,13 @@
 
 import textwrap
 
-#: The validate_request arm for "ping" (raw template indentation).
-_PING_ARM = (
-    'if op == "ping":\n'
-    '            if not isinstance(meta.get("payload", ""), str):\n'
-    '                raise ValueError("bad payload")\n'
-    "        elif op"
-)
-
 PROTOCOL_OK = """\
     PROTOCOL_VERSION = 1
 
-    OPS = ("ping", "push")
-
-    WRITE_OPS = frozenset({"push"})
+    OPS: dict[str, OpSpec] = {
+        "ping": OpSpec(budget_s=0.5),
+        "push": OpSpec(budget_s=5.0, mutates=True),
+    }
 
 
     class PingError(Exception):
@@ -35,15 +28,6 @@ PROTOCOL_OK = """\
 """
 
 SERVER_OK = """\
-    def validate_request(op, meta, blobs):
-        if op == "ping":
-            if not isinstance(meta.get("payload", ""), str):
-                raise ValueError("bad payload")
-        elif op == "push":
-            if not isinstance(meta.get("commits", []), list):
-                raise ValueError("bad commits")
-
-
     class Server:
         def _op_ping(self, meta, blobs):
             return meta.get("payload", "")
@@ -76,69 +60,24 @@ class TestCleanStack:
         result = run_lint(root, rules=["PT"])
         assert result.findings == []
 
+    def test_real_op_table_is_discovered(self):
+        # The pack reads op names and mutates=True straight from the
+        # OPS literal; a table it cannot find would make it silent.
+        from pathlib import Path
+
+        import repro
+        from repro.analysis.callgraph import Program
+        from repro.analysis.model import load_source_tree
+        from repro.analysis.rules_protocol import _find_protocol
+        from repro.remote.protocol import OPS
+
+        root = Path(repro.__file__).resolve().parent
+        facts = _find_protocol(Program(load_source_tree(root)))
+        assert facts is not None
+        assert facts.ops == {op: spec.mutates for op, spec in OPS.items()}
+
 
 class TestDrift:
-    def test_pt001_op_without_handler(self, tree, line_of):
-        source = PROTOCOL_OK.replace(
-            'OPS = ("ping", "push")', 'OPS = ("ping", "push", "evict")'
-        )
-        tree.write("protocol.py", source)
-        tree.write("server.py", SERVER_OK)
-        findings = tree.findings("PT001")
-        assert len(findings) == 1
-        assert "'evict'" in findings[0].message
-        assert findings[0].path.endswith("protocol.py")
-
-    def test_pt002_handler_without_op(self, tree, line_of):
-        server = SERVER_OK + (
-            "\n"
-            "        def _op_evict(self, meta, blobs):  # MARK drifted handler\n"
-            "            return None\n"
-        )
-        _write_stack(tree, server=server)
-        findings = tree.findings("PT002")
-        assert len(findings) == 1
-        assert findings[0].line == line_of(
-            textwrap.dedent(server), "MARK drifted handler"
-        )
-        assert findings[0].symbol == "Server._op_evict"
-
-    def test_pt003_unvalidated_meta_read(self, tree):
-        # Drop the ping arm from validate_request: its handler still
-        # reads meta, so the op is now unvalidated.
-        server = SERVER_OK.replace(_PING_ARM, "if op")
-        assert server != SERVER_OK
-        _write_stack(tree, server=server)
-        findings = tree.findings("PT003")
-        assert len(findings) == 1
-        assert "_op_ping" in findings[0].message
-        assert findings[0].symbol == "Server._op_ping"
-
-    def test_pt003_metaless_handler_needs_no_arm(self, tree):
-        # A handler that never touches meta (like the real _op_manifest
-        # and _op_stats) is fine without a validate arm.
-        server = SERVER_OK.replace(
-            'def _op_ping(self, meta, blobs):\n            return meta.get("payload", "")',
-            "def _op_ping(self, meta, blobs):\n            return 'pong'",
-        ).replace(_PING_ARM, "if op")
-        assert server != SERVER_OK
-        _write_stack(tree, server=server)
-        assert tree.findings("PT003") == []
-
-    def test_pt004_classification_outside_ops(self, tree, line_of):
-        source = tree.write(
-            "routing.py",
-            """\
-            CACHEABLE_OPS = frozenset({"ping", "evict"})  # MARK stray op
-            """,
-        )
-        tree.write("protocol.py", PROTOCOL_OK)
-        tree.write("server.py", SERVER_OK)
-        findings = tree.findings("PT004")
-        assert len(findings) == 1
-        assert "'evict'" in findings[0].message
-        assert findings[0].line == line_of(source, "MARK stray op")
-
     def test_pt005_client_sends_unknown_op(self, tree, line_of):
         source = tree.write(
             "client.py",
@@ -159,6 +98,8 @@ class TestDrift:
         assert findings[0].symbol == "Client.call"
 
     def test_pt006_read_op_mutates(self, tree, line_of):
+        # "ping" has no mutates=True in the table, so its handler runs
+        # under the shared lock side.
         server = SERVER_OK.replace(
             'def _op_ping(self, meta, blobs):\n            return meta.get("payload", "")',
             "def _op_ping(self, meta, blobs):\n"

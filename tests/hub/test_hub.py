@@ -98,6 +98,21 @@ class TestRoutingAndAuth:
         assert clone.metric == "operator-metric"
         assert clone.seed == 42
 
+    @pytest.mark.parametrize("op", [["push"], {"op": "push"}, "steal_chunks"])
+    def test_unknown_op_is_a_protocol_denial(self, hub, op):
+        from repro.remote import decode_message, encode_message
+
+        response = hub.handle_request(
+            "ana", "proj", "tok-ana", encode_message({"op": op})
+        )
+        error = decode_message(response)[0]["error"]
+        assert error["type"] == "RemoteProtocolError"
+        assert error["message"].startswith("unknown operation")
+        assert hub.registry.value(
+            "repro_admission_denied_total", tenant="ana", reason="protocol"
+        ) == 1
+        assert hub.loaded_repos() == []
+
     def test_duplicate_token_across_tenants_rejected(self, hub):
         with pytest.raises(HubError, match="unique across tenants"):
             hub.add_tenant("carl", tokens=["tok-ana"])

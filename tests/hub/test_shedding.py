@@ -10,6 +10,7 @@ from repro.errors import ServerOverloadedError
 from repro.hub import RepositoryHub
 from repro.obs.slo import SLOConfig
 from repro.remote.client import Remote
+from repro.remote.protocol import OPS
 from repro.storage import sha256_hex
 
 
@@ -26,17 +27,19 @@ def shed_happy_slo(**overrides):
     return SLOConfig(**settings)
 
 
-def breach_put_chunks(hub):
-    """Feed slow put_chunks observations straight into the hub registry
+def breach_put_chunks(hub, ops=("put_chunks",)):
+    """Feed slow observations of ``ops`` straight into the hub registry
     (the same family the hosted servers populate), then outwait a tick
     so the monitor's next window sees them."""
-    child = hub.registry.histogram(
+    family = hub.registry.histogram(
         "repro_request_seconds",
         "End-to-end request handling latency",
         ("op", "tenant", "repo"),
-    ).labels(op="put_chunks", tenant="ana", repo="proj")
-    for _ in range(5):
-        child.observe(0.5)
+    )
+    for op in ops:
+        child = family.labels(op=op, tenant="ana", repo="proj")
+        for _ in range(5):
+            child.observe(0.5)
     time.sleep(2 * hub.health.slo.tick_seconds)
 
 
@@ -92,6 +95,28 @@ class TestShedDenial:
         stats = remote.stats()
         assert stats["health"]["ready"] is False
         assert "overload shedding active" in stats["health"]["reasons"]
+
+    def test_shed_exempt_ops_never_reach_the_shedder(self):
+        """The op table's shed-exempt ops pass admission even with their
+        own objectives breached: the hub never asks the monitor."""
+        exempt = [op for op, spec in OPS.items() if spec.shed_exempt]
+        assert sorted(exempt) == ["health", "stats", "trace"]
+        hub = RepositoryHub(
+            slo=shed_happy_slo(objectives={op: 0.001 for op in exempt})
+        )
+        hub.add_tenant("ana", tokens=["tok"])
+        hub.create_repo("ana", "proj")
+        breach_put_chunks(hub, ops=exempt)
+        decide = hub.health.shed_decision
+        asked = []
+        hub.health.shed_decision = lambda op: asked.append(op) or decide(op)
+        remote = remote_for(hub)
+        for op in exempt:
+            meta, _ = remote._call({"op": op})
+            assert op in meta
+        assert asked == []
+        # The monitor itself would shed them: the exemption is the hub's.
+        assert all(decide(op) is not None for op in exempt)
 
     def test_shedding_disabled_admits_breaching_writes(self):
         hub = RepositoryHub(slo=shed_happy_slo(shed_enabled=False))

@@ -12,6 +12,7 @@ from repro.obs.export import (
     sink_for,
 )
 from repro.obs.trace import Tracer
+from repro.remote.protocol import OPS
 
 
 def span_dict(**overrides):
@@ -41,31 +42,21 @@ class TestExportPolicy:
         policy = ExportPolicy()
         assert policy.keep(span_dict(sampled=False, status="error"))
 
-    def test_keep_errors_false_drops_errors(self):
-        policy = ExportPolicy(keep_errors=False)
-        assert not policy.keep(span_dict(sampled=False, status="error"))
-
     def test_slow_span_kept_despite_sampling(self):
-        policy = ExportPolicy(default_slow_seconds=0.5)
-        assert policy.keep(span_dict(sampled=False, seconds=0.6))
-        assert not policy.keep(span_dict(sampled=False, seconds=0.4))
+        policy = ExportPolicy()  # push's budget in the op table: 5 s
+        pushy = span_dict(sampled=False, attrs={"op": "push"})
+        assert policy.keep({**pushy, "seconds": 5.1})
+        assert not policy.keep({**pushy, "seconds": 4.9})
 
-    def test_per_op_threshold_beats_default(self):
-        policy = ExportPolicy(
-            slow_op_seconds={"push": 2.0}, default_slow_seconds=0.1
-        )
-        pushy = span_dict(sampled=False, seconds=1.0, attrs={"op": "push"})
-        assert not policy.keep(pushy)  # under the push budget
-        other = span_dict(sampled=False, seconds=1.0, attrs={"op": "fetch"})
-        assert policy.keep(other)  # over the default
+    def test_every_op_budget_comes_from_the_op_table(self):
+        policy = ExportPolicy()
+        for op, spec in OPS.items():
+            span = span_dict(sampled=False, attrs={"op": op})
+            assert policy.keep({**span, "seconds": spec.budget_s})
+            assert not policy.keep({**span, "seconds": spec.budget_s * 0.9})
 
-    def test_op_falls_back_to_span_name(self):
-        policy = ExportPolicy(slow_op_seconds={"server.push": 0.001})
-        named = span_dict(sampled=False, seconds=0.01, name="server.push")
-        assert policy.keep(named)
-
-    def test_no_threshold_means_no_latency_override(self):
-        policy = ExportPolicy()  # default_slow_seconds=None
+    def test_span_without_an_op_has_no_latency_override(self):
+        policy = ExportPolicy()
         assert not policy.keep(span_dict(sampled=False, seconds=9999.0))
 
 

@@ -4,7 +4,7 @@ servers; the registry and tracer are fed by hand."""
 
 import pytest
 
-from repro.obs.health import SHED_EXEMPT_OPS, HealthMonitor, _percentile
+from repro.obs.health import HealthMonitor, _percentile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOConfig
 
@@ -129,18 +129,6 @@ class TestShedDecision:
         )
         self.breach(registry, clock, monitor)
         assert monitor.shed_decision("put_chunks") is None
-
-    def test_exempt_ops_never_shed(self):
-        registry = MetricsRegistry()
-        monitor, clock = make_monitor(
-            slo=self.slo(objectives={op: 0.01 for op in SHED_EXEMPT_OPS}),
-            registry=registry,
-        )
-        for op in SHED_EXEMPT_OPS:
-            observe_requests(registry, op, 0.2, 10)
-        clock.advance(2.0)
-        for op in SHED_EXEMPT_OPS:
-            assert monitor.shed_decision(op) is None
 
     def test_disabled_shedding_admits_everything(self):
         registry = MetricsRegistry()

@@ -10,11 +10,9 @@ from repro.obs.critical_path import (
     render_critical_path,
 )
 from repro.obs.profiler import SamplingProfiler, snapshot_stacks
-from repro.obs.slowops import (
-    DEFAULT_OP_THRESHOLDS,
-    SlowOpCapture,
-)
+from repro.obs.slowops import SlowOpCapture
 from repro.obs.trace import Tracer
+from repro.remote.protocol import OPS
 
 
 def busy_wait(seconds):
@@ -96,14 +94,14 @@ class TestSamplingProfiler:
 
 class TestSlowOpCapture:
     def test_under_budget_not_captured(self):
-        capture = SlowOpCapture(default_seconds=1.0)
+        capture = SlowOpCapture(threshold_seconds=1.0)
         assert capture.observe("manifest", 0.01) is None
         snapshot = capture.snapshot()
         assert snapshot["observed"] == 1
         assert snapshot["captured"] == 0
 
     def test_over_budget_captured_with_stacks(self):
-        capture = SlowOpCapture(default_seconds=0.001)
+        capture = SlowOpCapture(threshold_seconds=0.001)
         record = capture.observe("manifest", 0.5, tenant="team0")
         assert record is not None
         assert record["op"] == "manifest"
@@ -121,7 +119,7 @@ class TestSlowOpCapture:
         other_tracer_noise = tracer.span("unrelated")
         with other_tracer_noise:
             pass
-        capture = SlowOpCapture(thresholds={"push": 0.001})
+        capture = SlowOpCapture(threshold_seconds=0.001)
         record = capture.observe(
             "push", 0.5, tracer=tracer, trace_id=span.trace_id
         )
@@ -129,19 +127,26 @@ class TestSlowOpCapture:
         assert names == {"server.push", "lock.write"}
         assert all(s["trace_id"] == span.trace_id for s in record["spans"])
 
-    def test_per_op_thresholds_extend_defaults(self):
-        capture = SlowOpCapture(thresholds={"manifest": 0.25})
-        assert capture.threshold_for("manifest") == 0.25
-        assert capture.threshold_for("push") == DEFAULT_OP_THRESHOLDS["push"]
+    def test_budgets_come_from_the_op_table(self):
+        capture = SlowOpCapture()
+        for op, spec in OPS.items():
+            assert capture.threshold_for(op) == spec.budget_s
+            assert capture.observe(op, spec.budget_s * 0.9) is None
+            assert capture.observe(op, spec.budget_s) is not None
 
-    def test_none_default_disables_unlisted_ops(self):
-        capture = SlowOpCapture(default_seconds=None)
+    def test_uniform_threshold_overrides_every_budget(self):
+        capture = SlowOpCapture(threshold_seconds=0.25)
+        assert {capture.threshold_for(op) for op in OPS} == {0.25}
+        assert capture.snapshot()["threshold_seconds"] == 0.25
+
+    def test_op_outside_the_table_has_no_budget(self):
+        capture = SlowOpCapture()
         assert capture.observe("weird_op", 9999.0) is None
-        # Listed ops still have their budget.
+        # Table ops still have their budget.
         assert capture.observe("fetch", 9999.0) is not None
 
     def test_ring_is_bounded_newest_kept(self):
-        capture = SlowOpCapture(default_seconds=0.0, max_captures=2)
+        capture = SlowOpCapture(threshold_seconds=0.0, max_captures=2)
         for idx in range(4):
             capture.observe("op", 1.0 + idx)
         kept = [c["seconds"] for c in capture.captures()]

@@ -4,15 +4,17 @@ import json
 
 import pytest
 
-from repro.obs.slo import DEFAULT_OP_OBJECTIVES, SLObjective, SLOConfig
+from repro.obs.slo import SLObjective, SLOConfig
 from repro.remote.protocol import OPS
 
 
 class TestDefaults:
     def test_default_covers_every_protocol_op(self):
         config = SLOConfig.default()
-        assert set(config.objectives) == set(OPS)
-        assert set(DEFAULT_OP_OBJECTIVES) == set(OPS)
+        assert {
+            op: objective.p99_seconds
+            for op, objective in config.objectives.items()
+        } == {op: spec.budget_s for op, spec in OPS.items()}
 
     def test_error_budget_from_availability(self):
         assert SLOConfig(availability=0.99).error_budget == pytest.approx(0.01)
@@ -53,7 +55,7 @@ class TestFromDict:
         assert config.objective_for("push").p99_seconds == 9.0
         # Unlisted ops keep their stock objectives.
         assert config.objective_for("manifest").p99_seconds == \
-            DEFAULT_OP_OBJECTIVES["manifest"]
+            OPS["manifest"].budget_s
         assert config.availability == 0.999
         assert config.min_samples == 5
         assert config.shed_enabled is False

@@ -78,9 +78,9 @@ class TestAppendOnly:
 
     def test_import_is_idempotent(self):
         ledger = LineageLedger()
-        entry = lineage_record_to_dict(make_record())
-        assert ledger.import_entries([entry, entry]) == 1
-        assert ledger.import_entries([entry]) == 0
+        record = lineage_record_from_dict(lineage_record_to_dict(make_record()))
+        assert ledger.import_entries([record, record]) == 1
+        assert ledger.import_entries([record]) == 0
         assert len(ledger) == 1
 
     def test_import_after_local_append_dedups(self):

@@ -53,9 +53,11 @@ class TestMalformedRequests:
         assert meta["error"]["type"] == "RemoteProtocolError"
         assert_still_serving(transport)
 
-    def test_unknown_op_rejected(self, transport):
+    @pytest.mark.parametrize("op", ["steal_chunks", ["push"], {"push": 1}, None])
+    def test_unknown_op_rejected(self, transport, op):
+        # A non-string op (unhashable, even) is just another unknown op.
         with pytest.raises(RemoteProtocolError, match="unknown operation"):
-            call_raw(transport, {"op": "steal_chunks"})
+            call_raw(transport, {"op": op})
         assert_still_serving(transport)
 
     def test_push_ref_update_missing_new_is_typed_not_keyerror(
@@ -196,6 +198,51 @@ class TestMalformedRequests:
             call_raw(transport, {"op": "manifest"})
         del server._op_manifest
         assert_still_serving(transport)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (
+                {"commits": [{"commit_id": "c" * 64, "sequence": 0}]},
+                r"commits\[0\]: KeyError: 'pipeline'",
+            ),
+            (
+                {"records": [{"component_id": "x", "output_ref": "y"}]},
+                r"records\[0\]: KeyError: 'key'",
+            ),
+            (
+                {"lineage": [{"stage": "model"}]},
+                r"lineage\[0\]: KeyError: 'checkpoint_key'",
+            ),
+        ],
+    )
+    def test_undecodable_push_row_rejected_before_any_import(self, rows, message):
+        """A push whose chunk and recipe are valid but one of whose rows
+        its codec cannot read used to import the content, then fail with
+        an internal KeyError: a partial mutation."""
+        from repro import MLCask
+        from repro.storage import sha256_hex
+
+        server = RepositoryServer(MLCask(metric="accuracy", seed=0))
+        blob = b"pushed content" * 16
+        digest = sha256_hex(blob)
+        before = server._state_token()
+        with pytest.raises(
+            RemoteProtocolError, match=r"invalid push request: " + message
+        ):
+            call_raw(
+                LocalTransport(server),
+                {
+                    "op": "push",
+                    "chunk_digests": [digest],
+                    "recipes": [
+                        {"blob": "b" * 64, "chunks": [digest], "size": len(blob)}
+                    ],
+                    **rows,
+                },
+                [blob],
+            )
+        assert server._state_token() == before
 
     def test_validate_request_accepts_wellformed_push(self):
         validate_request(

@@ -207,7 +207,7 @@ class TestTraceRPC:
     def test_trace_op_slow_flag_returns_capture_ring(self, server_repo):
         from repro.obs.slowops import SlowOpCapture
 
-        slow_ops = SlowOpCapture(thresholds={"manifest": 0.0})
+        slow_ops = SlowOpCapture(threshold_seconds=0.0)
         server = RepositoryServer(
             server_repo, tracer=Tracer(), slow_ops=slow_ops
         )
